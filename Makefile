@@ -27,6 +27,8 @@
 #                    mid-run server kill, and the 5M-instruction
 #                    sampled-vs-full speedup acceptance
 #   make fuzz-short  90s split across the fuzz targets
+#   make perfbench-check  vet + tests of the nested perfbench module, which
+#                    compiles against the experiments/dserve surface
 #   make wakeup-shadow  benchmark matrix with both issue schedulers in
 #                    lockstep under -race: the scan drives, the event
 #                    scheduler shadows every pick, any divergence fails
@@ -41,7 +43,7 @@ GO ?= go
 CACHE_DIR ?= .dmdc-cache
 BENCH_COUNT ?= 5
 
-.PHONY: all build test check vet api-check race soundness alloc-gate chaos fleet-check sample-check wakeup-shadow fuzz-short cover bench bench-smoke bench-all report clean-cache
+.PHONY: all build test check vet api-check race soundness alloc-gate chaos fleet-check sample-check wakeup-shadow fuzz-short perfbench-check cover bench bench-smoke bench-all report clean-cache
 
 all: build test check
 
@@ -120,13 +122,21 @@ cover:
 api-check:
 	$(GO) run ./cmd/apicheck
 
-# Allocation-budget gate: one pooled-arena simulation run must stay within
-# a fixed allocation count (see alloc_test.go), pinning the SoA/arena
-# refactor's allocation-free hot loop.
+# Allocation-budget gate: one pooled-arena simulation run, through dmdc.Run
+# and through experiments.ExecuteJob in policy and run-key form, must stay
+# within a fixed allocation count (see alloc_test.go), pinning the
+# SoA/arena refactor's allocation-free hot loop.
 alloc-gate:
 	$(GO) test -run 'TestAllocationBudget' -count 1 .
 
-check: vet api-check race soundness alloc-gate chaos fleet-check sample-check wakeup-shadow bench-smoke fuzz-short cover
+# The repository benchmark (perfbench/) is its own Go module, outside
+# tier-1; this keeps it compiling and its own tests passing against the
+# experiments and dserve APIs it drives.
+perfbench-check:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
+
+check: vet api-check race soundness alloc-gate chaos fleet-check sample-check wakeup-shadow perfbench-check bench-smoke fuzz-short cover
 
 # Core-simulator throughput, recorded. Medians over BENCH_COUNT repetitions
 # land in the "current" section of BENCH_core.json; the "pre_pr8" section

@@ -29,13 +29,10 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 
 	"dmdc/internal/config"
 	"dmdc/internal/core"
-	"dmdc/internal/energy"
 	"dmdc/internal/experiments"
-	"dmdc/internal/lsq"
 	"dmdc/internal/soundness"
 	"dmdc/internal/telemetry"
 	"dmdc/internal/trace"
@@ -134,7 +131,7 @@ func ParsePolicy(s string) (PolicyKind, error) {
 }
 
 // MarshalText encodes the policy as its canonical name, making PolicyKind
-// usable directly in JSON wire schemas (see Request).
+// usable directly in JSON (see Request).
 func (p PolicyKind) MarshalText() ([]byte, error) {
 	if int(p) < 0 || int(p) >= len(policyNames) {
 		return nil, fmt.Errorf("dmdc: cannot marshal unknown policy %d", int(p))
@@ -247,25 +244,13 @@ func NewTelemetrySampler(cfg TelemetryConfig) *TelemetrySampler { return telemet
 // observer-effect suite) — and costs a disabled run one nil test per cycle.
 func WithTelemetry(t *TelemetrySampler) SimOption { return core.WithTelemetry(t) }
 
-// newPolicy builds the load-queue policy for one simulation, through the
-// same canonical name→factory table the experiment harness and the dmdcd
-// server use (experiments.PolicyFactoryByName), so every entry point
-// constructs a named policy identically.
-func newPolicy(m Machine, kind PolicyKind, em *energy.Model) (lsq.Policy, error) {
-	f, err := experiments.PolicyFactoryByName(kind.String())
-	if err != nil {
-		return nil, fmt.Errorf("dmdc: unknown policy %v", kind)
-	}
-	return f(m, em)
-}
-
 // Request describes one simulation: which benchmark runs on which machine
 // under which load-queue policy, for how long, with which verification and
-// injection settings. It is the single entry-point contract — Run executes
-// it locally, and its JSON encoding (Policy marshals as its canonical
-// name) is the wire form a dmdcd simulation server accepts — so a request
-// serialized, shipped, and executed remotely is the same request, not a
-// translation of one.
+// fault-injection settings. Run lowers it into an experiments.JobSpec —
+// the wire form a dmdcd server accepts — plus the in-process Options, and
+// executes that spec through the same construction path the experiment
+// suite and the server use. Request's own JSON encoding is not the wire
+// form.
 //
 // The zero value of every optional field means "off"; a zero Machine
 // defaults to Config2 and zero Insts to 1,000,000, so the minimal request
@@ -285,27 +270,19 @@ type Request struct {
 	// checked against an independent in-order model and the run fails with
 	// a *SoundnessError at the first divergence.
 	Verify bool `json:"verify,omitempty"`
-	// Invalidations injects external invalidations at this rate per 1000
-	// cycles (the paper's Table 6 methodology); 0 disables.
-	Invalidations float64 `json:"invalidations,omitempty"`
-	// SQFilter enables the Section 3 store-side age filter.
-	SQFilter bool `json:"sq_filter,omitempty"`
 	// Faults describes a deterministic fault-injection campaign (zero
 	// value: no faults; see ParseFaultSpec for the string syntax).
 	Faults FaultSpec `json:"faults"`
 	// WatchdogCycles overrides the forward-progress budget (0 keeps the
 	// core default).
 	WatchdogCycles uint64 `json:"watchdog_cycles,omitempty"`
-	// InvariantEvery sweeps the pipeline's structural invariants every
-	// this many cycles (0 disables the periodic sweep).
-	InvariantEvery uint64 `json:"invariant_every,omitempty"`
-	// Options carries additional core options — telemetry samplers,
-	// pipeline traces, monitors — that only make sense in-process; it is
-	// not part of the wire form.
+	// Options carries additional core options — WithSQFilter,
+	// WithInvalidations, WithInvariantChecking, telemetry samplers — applied
+	// after every option the fields above imply; it has no JSON form.
 	Options []SimOption `json:"-"`
 }
 
-// normalized fills the documented defaults.
+// normalized fills the documented defaults and validates the request.
 func (r Request) normalized() (Request, error) {
 	if r.Machine.Name == "" {
 		r.Machine = Config2()
@@ -317,68 +294,31 @@ func (r Request) normalized() (Request, error) {
 		return r, fmt.Errorf("dmdc: request has no benchmark (valid: %s)",
 			strings.Join(Benchmarks(), ", "))
 	}
-	return r, nil
+	// Faults travel in canonical string form, which only a valid spec has.
+	return r, r.Faults.Validate()
 }
 
 // Run executes one simulation Request and returns timing, energy, and
 // statistics. The context is checked on the periodic soundness cadence: a
 // mid-run cancellation stops the simulation promptly and returns ctx.Err()
-// (never a watchdog or soundness error). Run is the single entry point:
-// the experiment suite, the dmdcd service, and every test execute the
-// same Request shape, locally or remotely.
+// (never a watchdog or soundness error). Run lowers the Request into the
+// experiments.JobSpec the suite and the dmdcd service execute, so every
+// entry point builds the same simulation.
 func Run(ctx context.Context, req Request) (*Result, error) {
 	req, err := req.normalized()
 	if err != nil {
 		return nil, err
 	}
-	prof, err := trace.ByName(req.Benchmark)
-	if err != nil {
-		return nil, err
-	}
-	em := energy.NewModel(req.Machine.CoreSize())
-	pol, err := newPolicy(req.Machine, req.Policy, em)
-	if err != nil {
-		return nil, err
-	}
-	opts := append([]SimOption{}, req.Options...)
-	if req.Invalidations > 0 {
-		opts = append(opts, core.WithInvalidations(req.Invalidations))
-	}
-	if req.SQFilter {
-		opts = append(opts, core.WithSQFilter())
-	}
-	if !req.Faults.Zero() {
-		opts = append(opts, core.WithFaults(req.Faults))
-	}
-	if req.WatchdogCycles > 0 {
-		opts = append(opts, core.WithWatchdog(req.WatchdogCycles))
-	}
-	if req.InvariantEvery > 0 {
-		opts = append(opts, core.WithInvariantChecking(req.InvariantEvery))
-	}
-	if req.Verify {
-		opts = append(opts, core.WithOracle(core.FromGenerator(trace.NewGenerator(prof))))
-	}
-	// Each run draws its hot backing arrays (ROB, wheel, queues) from a
-	// pooled arena: reset, not freed, between runs, so back-to-back
-	// simulations — sweeps, the sharded service, benchmarks — skip the
-	// per-run allocation entirely. A Result never references arena memory,
-	// so returning the arena before the caller reads the Result is safe.
-	arena := arenaPool.Get().(*core.Arena)
-	defer arenaPool.Put(arena)
-	opts = append(opts, core.WithArena(arena))
-	sim, err := core.New(req.Machine, prof, pol, em, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return sim.RunContext(ctx, req.Insts)
+	return experiments.ExecuteJob(ctx, experiments.JobSpec{
+		Machine:        req.Machine,
+		Policy:         req.Policy.String(),
+		Benchmark:      req.Benchmark,
+		Insts:          req.Insts,
+		Soundness:      req.Verify,
+		Faults:         req.Faults.String(),
+		WatchdogCycles: req.WatchdogCycles,
+	}, req.Options...)
 }
-
-// arenaPool recycles per-run simulator storage across Run calls. Each
-// Get hands an arena to exactly one Sim at a time, satisfying the
-// exclusivity contract of core.Arena even under the concurrent sharded
-// service.
-var arenaPool = sync.Pool{New: func() any { return core.NewArena() }}
 
 // NewSuite builds the experiment suite that regenerates the paper's
 // tables and figures. It returns an error when the options name an

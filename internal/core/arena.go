@@ -15,14 +15,14 @@ const wheelSlotCap = 8
 // An Arena owns every per-run hot backing array of a Sim — the ROB
 // struct-of-arrays halves, the MemOp arena, the event wheel, and the
 // scheduler and fetch queues. Passing one to NewWithWorkload via WithArena
-// lets consecutive runs reuse the storage: the arrays are reset (lengths
-// zeroed, capacities kept), never freed, so a warmed arena makes a run
+// lets consecutive runs reuse the storage: the arrays are reset (cleared,
+// capacities kept), never freed, so a warmed arena makes a run
 // allocation-free on these structures.
 //
 // An Arena is exclusive to one live Sim at a time. Handing the same arena
 // to a second Sim while the first may still step corrupts both; callers
-// that run concurrently should draw arenas from a sync.Pool, as the
-// package-level facade does.
+// that run concurrently should draw arenas from a sync.Pool, as
+// experiments.ExecuteJob does.
 type Arena struct {
 	robHot  []hotEntry
 	robData []robData
@@ -60,11 +60,13 @@ func WithArena(a *Arena) Option {
 	}
 }
 
-// ensure sizes the fixed arrays for a ROB of robSize slots and resets
-// every queue to empty. Stale contents are left in place: a Sim never
-// reads a ROB slot or queue entry it has not (re)initialized this run, so
-// reuse stays bit-identical to a fresh allocation — TestArenaReuseDeterminism
-// pins that.
+// ensure sizes the fixed arrays for a ROB of robSize slots, returns every
+// slot to its freshly allocated state, and resets every queue to empty.
+// Clearing matters beyond the run itself: a checkpoint serializes every ROB
+// and wakeup slot, live or dead, so stale contents from an earlier run
+// (possibly on a larger machine) would leak into the saved bytes. A reused
+// arena is therefore indistinguishable from a fresh one —
+// TestArenaReuseDeterminism pins that.
 func (a *Arena) ensure(robSize int) {
 	if cap(a.robHot) < robSize {
 		// The three ROB halves are allocated together and only here, so one
@@ -72,10 +74,14 @@ func (a *Arena) ensure(robSize int) {
 		a.robHot = make([]hotEntry, robSize)
 		a.robData = make([]robData, robSize)
 		a.memOps = make([]lsq.MemOp, robSize)
+	} else {
+		a.robHot = a.robHot[:robSize]
+		a.robData = a.robData[:robSize]
+		a.memOps = a.memOps[:robSize]
+		clear(a.robHot)
+		clear(a.robData)
+		clear(a.memOps)
 	}
-	a.robHot = a.robHot[:robSize]
-	a.robData = a.robData[:robSize]
-	a.memOps = a.memOps[:robSize]
 	words := (robSize + 63) / 64
 	if cap(a.consOn) < robSize {
 		a.readyBM = make([]uint64, words)
@@ -89,12 +95,9 @@ func (a *Arena) ensure(robSize int) {
 		a.consNext = a.consNext[:robSize]
 		a.consPrev = a.consPrev[:robSize]
 		a.consOn = a.consOn[:robSize]
-	}
-	// Unlike the ROB halves, the wakeup structures ARE reset between
-	// runs: a stale ready bit or chain link from the previous run would
-	// be read before the slot is re-initialized by insert.
-	for i := range a.readyBM {
-		a.readyBM[i] = 0
+		clear(a.readyBM)
+		clear(a.consNext)
+		clear(a.consPrev)
 	}
 	for i := range a.consHead {
 		a.consHead[i] = -1

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"testing"
@@ -21,22 +22,26 @@ func mustFaultSpec(t *testing.T, s string) soundness.FaultSpec {
 	return spec
 }
 
-// arenaRun builds a fresh gcc/DMDC sim (optionally on an arena) and runs
-// it for n committed instructions.
-func arenaRun(t *testing.T, a *Arena, n uint64) *Result {
+// arenaSim builds a gcc/DMDC sim on machine m, drawing its storage from a
+// when a is non-nil and from fresh allocations otherwise.
+func arenaSim(t *testing.T, a *Arena, m config.Machine) *Sim {
 	t.Helper()
-	cfg := config.Config2()
 	prof, err := trace.ByName("gcc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	em := energy.NewModel(cfg.CoreSize())
-	pol := lsq.Must(lsq.NewDMDC(lsq.DefaultDMDCConfig(cfg.CheckTable, cfg.ROBSize), em))
+	em := energy.NewModel(m.CoreSize())
+	pol := lsq.Must(lsq.NewDMDC(lsq.DefaultDMDCConfig(m.CheckTable, m.ROBSize), em))
 	var opts []Option
 	if a != nil {
 		opts = append(opts, WithArena(a))
 	}
-	s := MustSim(New(cfg, prof, pol, em, opts...))
+	return MustSim(New(m, prof, pol, em, opts...))
+}
+
+// runFor runs s for n committed instructions.
+func runFor(t *testing.T, s *Sim, n uint64) *Result {
+	t.Helper()
 	r, err := s.RunContext(context.Background(), n)
 	if err != nil {
 		t.Fatal(err)
@@ -44,27 +49,66 @@ func arenaRun(t *testing.T, a *Arena, n uint64) *Result {
 	return r
 }
 
-// A run on a dirtied, reused arena must be bit-identical to a run on
-// fresh allocations: the simulator never reads a slot it has not
-// (re)initialized this run, so the stale contents ensure leaves in place
-// are invisible.
+// Runs on a dirtied, reused arena must be bit-identical to runs on fresh
+// allocations: ensure returns every slot to its freshly allocated state.
+// Each case runs its steps in order on one arena and compares every step
+// against the same step on fresh allocations — including reuse across
+// machines of different ROB sizes, and a checkpoint saved and restored on
+// a dirtied arena (a checkpoint serializes dead slots too).
 func TestArenaReuseDeterminism(t *testing.T) {
 	const n = 30_000
-	want := arenaRun(t, nil, n)
-
-	a := NewArena()
-	first := arenaRun(t, a, n) // dirties every array
-	for run, r := range []*Result{first, arenaRun(t, a, n), arenaRun(t, a, n)} {
-		if r.Cycles != want.Cycles || r.Insts != want.Insts {
-			t.Fatalf("arena run %d: got %d cycles / %d insts, want %d / %d",
-				run, r.Cycles, r.Insts, want.Cycles, want.Insts)
+	run := func(m config.Machine) func(*testing.T, *Arena) *Result {
+		return func(t *testing.T, a *Arena) *Result { return runFor(t, arenaSim(t, a, m), n) }
+	}
+	var freshBlob []byte
+	restore := func(t *testing.T, a *Arena) *Result {
+		src := arenaSim(t, a, config.Config2())
+		if err := src.FastForward(20_000, true); err != nil {
+			t.Fatal(err)
 		}
-		if got, w := r.Stats.String(), want.Stats.String(); got != w {
-			t.Fatalf("arena run %d stats diverged:\ngot  %s\nwant %s", run, got, w)
+		blob, err := src.SaveCheckpoint()
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got, w := r.Energy.Total(), want.Energy.Total(); got != w {
-			t.Fatalf("arena run %d energy: got %v, want %v", run, got, w)
+		if a == nil {
+			freshBlob = blob
+		} else if !bytes.Equal(blob, freshBlob) {
+			t.Fatal("checkpoint saved on a reused arena differs from one saved on fresh allocations")
 		}
+		dst := arenaSim(t, a, config.Config2())
+		if err := dst.RestoreCheckpoint(blob); err != nil {
+			t.Fatal(err)
+		}
+		return runFor(t, dst, 10_000)
+	}
+	cases := []struct {
+		name  string
+		steps []func(*testing.T, *Arena) *Result
+	}{
+		{"same machine", []func(*testing.T, *Arena) *Result{
+			run(config.Config2()), run(config.Config2()), run(config.Config2())}},
+		{"cross machine", []func(*testing.T, *Arena) *Result{
+			run(config.Config3()), run(config.Config1()), run(config.IQPressure())}},
+		{"checkpoint restore", []func(*testing.T, *Arena) *Result{
+			run(config.Config3()), restore, restore}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			a := NewArena()
+			for step, f := range c.steps {
+				want, r := f(t, nil), f(t, a)
+				if r.Cycles != want.Cycles || r.Insts != want.Insts {
+					t.Fatalf("arena step %d: got %d cycles / %d insts, want %d / %d",
+						step, r.Cycles, r.Insts, want.Cycles, want.Insts)
+				}
+				if got, w := r.Stats.String(), want.Stats.String(); got != w {
+					t.Fatalf("arena step %d stats diverged:\ngot  %s\nwant %s", step, got, w)
+				}
+				if got, w := r.Energy.Total(), want.Energy.Total(); got != w {
+					t.Fatalf("arena step %d energy: got %v, want %v", step, got, w)
+				}
+			}
+		})
 	}
 }
 

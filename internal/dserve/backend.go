@@ -13,41 +13,7 @@ import (
 
 	"dmdc/internal/core"
 	"dmdc/internal/experiments"
-	"dmdc/internal/resultcache"
 )
-
-// Local executes jobs in-process. It is the zero-config backend: a
-// Dispatcher over a single Local behaves exactly like the Suite's own
-// worker pool, so code written against Backend needs no server to run.
-type Local struct {
-	// Cache, when non-nil, answers non-soundness jobs from the result
-	// store and stores computed results back. Any resultcache.Store works
-	// (disk cache, fleet-tiered, test fake).
-	Cache resultcache.Store
-}
-
-// Name identifies the backend.
-func (l *Local) Name() string { return "local" }
-
-// Run executes one job in this process.
-func (l *Local) Run(ctx context.Context, spec experiments.JobSpec) (*core.Result, error) {
-	cacheable := l.Cache != nil && !spec.Soundness
-	if cacheable {
-		if res, ok := l.Cache.Get(spec.CacheKey()); ok {
-			return res, nil
-		}
-	}
-	res, err := experiments.ExecuteJob(ctx, spec)
-	if err != nil {
-		// Only a cancellation is environmental; everything else in-process
-		// is deterministic and would fail identically on retry.
-		return nil, &BackendError{Backend: l.Name(), Retryable: ctx.Err() != nil, Err: err}
-	}
-	if cacheable {
-		l.Cache.Put(spec.CacheKey(), res)
-	}
-	return res, nil
-}
 
 // Remote executes jobs on a dmdcd server over its HTTP/JSON API: submit a
 // one-job batch, long-poll the job's status, fetch the result. Network

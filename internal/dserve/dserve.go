@@ -18,8 +18,8 @@
 //     the identical answer.
 //
 //   - Dispatcher shards a stream of jobs across one or more Backends
-//     (remote dmdcd servers via Remote, or the in-process Local so the
-//     zero-config path still works), with bounded per-backend in-flight
+//     (remote dmdcd servers via Remote, or any other
+//     experiments.Backend), with bounded per-backend in-flight
 //     windows for backpressure, per-job retry with exponential backoff
 //     (honoring Retry-After hints from overloaded servers), hedged
 //     re-dispatch of stragglers, and cache-keyed resume so a killed
@@ -34,6 +34,7 @@
 // Wire protocol (all bodies JSON):
 //
 //	POST /v1/jobs            {"jobs":[JobSpec,...]} → {"jobs":[JobStatus,...]}
+//	                         unknown fields are a 400 bad_request;
 //	                         X-DMDC-Tenant names the submitting tenant;
 //	                         a fully rejected batch is a 503 with Retry-After
 //	GET  /v1/jobs            → {"jobs":[JobStatus,...]} (no results)

@@ -480,13 +480,15 @@ func (s *Server) execute(st *jobState) {
 	s.journal(jobstore.Record{State: jobstore.StateRunning, ID: st.id})
 
 	var sampler *telemetry.Sampler
-	if s.telCfg != nil {
+	if s.telCfg != nil && len(st.spec.Checkpoint) == 0 {
 		// Registered before the run starts so /v1/telemetry?job=ID watches
-		// the series fill in while the job executes.
+		// the series fill in while the job executes. Restored intervals
+		// never attach one: telemetry is one of the subsystems the
+		// checkpoint format fails closed on.
 		sampler = telemetry.New(*s.telCfg)
 		s.reg.Register(st.id, sampler)
 	}
-	res, err := experiments.ExecuteJobWithSampler(s.ctx, st.spec, sampler)
+	res, err := experiments.ExecuteJob(s.ctx, st.spec, core.WithTelemetry(sampler))
 	if err != nil {
 		// A cancellation is environmental — another backend can still run
 		// the job. Anything else is deterministic: the same spec would
@@ -679,6 +681,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	var req SubmitRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
+	// A misspelled or foreign field (a dmdc.Request's "verify" or
+	// "sq_filter") must fail loudly: silently dropping it would serve an
+	// unverified or unfiltered result, possibly from cache.
+	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, CodeBadRequest, false, fmt.Errorf("decode submit: %w", err))
 		return

@@ -285,6 +285,57 @@ func TestServerRejectsInvalid(t *testing.T) {
 	}
 }
 
+// TestServerRejectsUnknownFields: a submit carrying a field JobSpec does
+// not have — here the dmdc.Request names "verify" and "sq_filter" — is a
+// 400 bad_request that admits nothing, never a job run with the field
+// silently dropped.
+func TestServerRejectsUnknownFields(t *testing.T) {
+	t.Parallel()
+	srv := newTestServer(t, ServerConfig{Workers: 1})
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	for _, field := range []string{"verify", "sq_filter"} {
+		var job map[string]any
+		b, err := json.Marshal(quickSpec("gzip"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(b, &job); err != nil {
+			t.Fatal(err)
+		}
+		job[field] = true
+		body, err := json.Marshal(map[string]any{"jobs": []any{job}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("submit: %v", err)
+		}
+		var env ErrorEnvelope
+		derr := json.NewDecoder(resp.Body).Decode(&env)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || derr != nil || env.Code != CodeBadRequest {
+			t.Fatalf("submit with %q: status %d, envelope %+v (%v), want 400 %s",
+				field, resp.StatusCode, env, derr, CodeBadRequest)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/v1/jobs")
+	if err != nil {
+		t.Fatalf("list: %v", err)
+	}
+	defer resp.Body.Close()
+	var lr ListResponse
+	if err := json.NewDecoder(resp.Body).Decode(&lr); err != nil {
+		t.Fatalf("decode list: %v", err)
+	}
+	if len(lr.Jobs) != 0 {
+		t.Fatalf("rejected submits admitted %d jobs: %+v", len(lr.Jobs), lr.Jobs)
+	}
+}
+
 // TestServerTelemetryEndpoint pins that a telemetry-enabled server
 // exposes per-job series keyed by job ID, and a plain server 404s.
 func TestServerTelemetryEndpoint(t *testing.T) {

@@ -6,13 +6,13 @@ import (
 	"encoding/hex"
 	"fmt"
 	"strings"
+	"sync"
 
 	"dmdc/internal/config"
 	"dmdc/internal/core"
 	"dmdc/internal/energy"
 	"dmdc/internal/resultcache"
 	"dmdc/internal/soundness"
-	"dmdc/internal/telemetry"
 	"dmdc/internal/trace"
 )
 
@@ -67,58 +67,69 @@ type JobSpec struct {
 
 // Validate reports the first problem with the spec, or nil.
 func (j JobSpec) Validate() error {
+	_, err := j.resolve()
+	return err
+}
+
+// resolve validates the spec and materializes the run spec it names: the
+// experiment spec behind a run key, or the named policy on the job's
+// machine.
+func (j JobSpec) resolve() (runSpec, error) {
+	var sp runSpec
 	if (j.RunKey == "") == (j.Policy == "") {
-		return fmt.Errorf("experiments: job needs exactly one of run_key and policy (have %q and %q)",
+		return sp, fmt.Errorf("experiments: job needs exactly one of run_key and policy (have %q and %q)",
 			j.RunKey, j.Policy)
 	}
 	if j.RunKey != "" {
-		sp, ok := resolveSpec(j.RunKey)
-		if !ok {
-			return fmt.Errorf("experiments: unknown run key %q", j.RunKey)
+		var ok bool
+		if sp, ok = resolveSpec(j.RunKey); !ok {
+			return sp, fmt.Errorf("experiments: unknown run key %q", j.RunKey)
 		}
 		if j.Machine.Name != "" && j.Machine.Name != sp.machine.Name {
-			return fmt.Errorf("experiments: run key %q pins machine %s, job says %s",
+			return sp, fmt.Errorf("experiments: run key %q pins machine %s, job says %s",
 				j.RunKey, sp.machine.Name, j.Machine.Name)
 		}
 	} else {
-		if _, err := PolicyFactoryByName(j.Policy); err != nil {
-			return err
+		f, err := PolicyFactoryByName(j.Policy)
+		if err != nil {
+			return sp, err
 		}
 		if err := j.Machine.Validate(); err != nil {
-			return fmt.Errorf("experiments: job machine: %w", err)
+			return sp, fmt.Errorf("experiments: job machine: %w", err)
 		}
+		sp = runSpec{key: "policy:" + j.Policy, machine: j.Machine, factory: f}
 	}
 	if j.Benchmark == "" {
-		return fmt.Errorf("experiments: job has no benchmark")
+		return sp, fmt.Errorf("experiments: job has no benchmark")
 	}
 	if _, err := trace.ByName(j.Benchmark); err != nil {
-		return err
+		return sp, err
 	}
 	if j.Insts == 0 {
-		return fmt.Errorf("experiments: job has no instruction budget")
+		return sp, fmt.Errorf("experiments: job has no instruction budget")
 	}
 	if j.Faults != "" {
 		if _, err := soundness.ParseFaultSpec(j.Faults); err != nil {
-			return err
+			return sp, err
 		}
 	}
 	if (len(j.Checkpoint) == 0) != (j.CheckpointRef == "") {
-		return fmt.Errorf("experiments: checkpoint payload and checkpoint_ref must be set together")
+		return sp, fmt.Errorf("experiments: checkpoint payload and checkpoint_ref must be set together")
 	}
 	if len(j.Checkpoint) > 0 {
 		// Checkpoint jobs restore exact simulator state; every option that
 		// the checkpoint format refuses to capture is refused here too.
 		if j.Policy == "" {
-			return fmt.Errorf("experiments: checkpoint jobs must name a policy, not a run key")
+			return sp, fmt.Errorf("experiments: checkpoint jobs must name a policy, not a run key")
 		}
 		if j.Soundness {
-			return fmt.Errorf("experiments: checkpoint jobs cannot attach the soundness oracle")
+			return sp, fmt.Errorf("experiments: checkpoint jobs cannot attach the soundness oracle")
 		}
 		if j.Faults != "" {
-			return fmt.Errorf("experiments: checkpoint jobs cannot inject faults")
+			return sp, fmt.Errorf("experiments: checkpoint jobs cannot inject faults")
 		}
 	}
-	return nil
+	return sp, nil
 }
 
 // CacheKey returns the job's content address in the persistent result
@@ -190,46 +201,63 @@ func PolicyFactoryByName(name string) (PolicyFactory, error) {
 		name, strings.Join(PolicyNames(), ", "))
 }
 
-// specForJob materializes the runSpec a JobSpec describes.
-func specForJob(j JobSpec) (runSpec, error) {
-	if j.RunKey != "" {
-		sp, ok := resolveSpec(j.RunKey)
-		if !ok {
-			return runSpec{}, fmt.Errorf("experiments: unknown run key %q", j.RunKey)
+// ExecuteJob runs one job to completion. It is the only place a
+// simulation is built: dmdc.Run, the Suite's in-process backend, the dmdcd
+// server and sampled-mode intervals all come through here, so a job run
+// anywhere is constructed — option for option, in the same order — exactly
+// like a local run, which is what makes distributed results byte-identical
+// to local ones.
+//
+// extra options apply after every option the spec itself implies; they
+// carry the in-process-only concerns (telemetry samplers, the wakeup
+// shadow, pipeline traces) that have no wire form. A checkpoint job is
+// verified against its content address and restored before it runs. A
+// panic anywhere inside the simulator is returned as an error, never
+// propagated — one bad job must not take down a serving process.
+func ExecuteJob(ctx context.Context, j JobSpec, extra ...core.Option) (r *core.Result, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			r, err = nil, fmt.Errorf("experiments: job panic: %v", p)
 		}
-		return sp, nil
-	}
-	f, err := PolicyFactoryByName(j.Policy)
-	if err != nil {
-		return runSpec{}, err
-	}
-	return runSpec{key: "policy:" + j.Policy, machine: j.Machine, factory: f}, nil
-}
-
-// execParams is everything outside the runSpec that shapes one cell.
-type execParams struct {
-	insts        uint64
-	soundness    bool
-	wakeupShadow bool
-	faults       soundness.FaultSpec
-	watchdog     uint64
-	sampler      *telemetry.Sampler
-}
-
-// executeCell builds and runs one simulation. It is the single execution
-// path shared by the in-process matrix runner and ExecuteJob, so a job
-// shipped over the wire is constructed — option for option, in the same
-// order — exactly like a local run, which is what makes distributed
-// results byte-identical to local ones.
-func executeCell(ctx context.Context, sp runSpec, bench string, p execParams) (*core.Result, error) {
-	prof, err := trace.ByName(bench)
+	}()
+	sim, release, err := newSim(j, extra...)
 	if err != nil {
 		return nil, err
+	}
+	defer release()
+	if len(j.Checkpoint) > 0 {
+		if err := sim.RestoreCheckpoint(j.Checkpoint); err != nil {
+			return nil, err
+		}
+	}
+	return sim.RunContext(ctx, j.Insts)
+}
+
+// newSim validates and resolves j (re-hashing a checkpoint payload against
+// its content address) and builds its simulation on a pooled arena;
+// release returns the arena once the caller is done with the Sim. Options
+// apply in one fixed order: the run spec's own (extra options,
+// invalidations, monitors), then the job's (oracle, faults, watchdog),
+// then extra, then the arena.
+func newSim(j JobSpec, extra ...core.Option) (sim *core.Sim, release func(), err error) {
+	sp, err := j.resolve()
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(j.Checkpoint) > 0 {
+		sum := sha256.Sum256(j.Checkpoint)
+		if ref := hex.EncodeToString(sum[:]); ref != j.CheckpointRef {
+			return nil, nil, fmt.Errorf("experiments: checkpoint payload hashes to %s, job says %s", ref, j.CheckpointRef)
+		}
+	}
+	prof, err := trace.ByName(j.Benchmark)
+	if err != nil {
+		return nil, nil, err
 	}
 	em := energy.NewModel(sp.machine.CoreSize())
 	pol, err := sp.factory(sp.machine, em)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	opts := append([]core.Option{}, sp.extraOpts...)
 	if sp.invRate > 0 {
@@ -238,110 +266,32 @@ func executeCell(ctx context.Context, sp runSpec, bench string, p execParams) (*
 	if sp.monitors != nil {
 		opts = append(opts, core.WithMonitors(sp.monitors()...))
 	}
-	if p.soundness {
+	if j.Soundness {
 		opts = append(opts, core.WithOracle(core.FromGenerator(trace.NewGenerator(prof))))
 	}
-	if p.wakeupShadow {
-		opts = append(opts, core.WithWakeupShadow())
+	if faults, _ := soundness.ParseFaultSpec(j.Faults); !faults.Zero() { // resolve validated it
+		opts = append(opts, core.WithFaults(faults))
 	}
-	if !p.faults.Zero() {
-		opts = append(opts, core.WithFaults(p.faults))
-	}
-	if p.watchdog > 0 {
-		opts = append(opts, core.WithWatchdog(p.watchdog))
-	}
-	if p.sampler != nil {
-		opts = append(opts, core.WithTelemetry(p.sampler))
-	}
-	sim, err := core.New(sp.machine, prof, pol, em, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return sim.RunContext(ctx, p.insts)
-}
-
-// ExecuteJob runs one wire job to completion. It is the server-side
-// counterpart of Suite's in-process runner: the spec is validated,
-// materialized through the same resolveSpec/factory tables, and executed
-// through the same construction path, so the result is byte-identical to a
-// local run of the same cell. A panic anywhere inside the simulator is
-// returned as an error, never propagated — one bad job must not take down
-// a serving process.
-func ExecuteJob(ctx context.Context, j JobSpec) (*core.Result, error) {
-	return ExecuteJobWithSampler(ctx, j, nil)
-}
-
-// ExecuteJobWithSampler is ExecuteJob with a telemetry sampler attached to
-// the run (nil behaves like ExecuteJob). The dmdcd server registers the
-// sampler under the job's id so clients can watch per-job time series over
-// the wire while the job runs.
-func ExecuteJobWithSampler(ctx context.Context, j JobSpec, sampler *telemetry.Sampler) (r *core.Result, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			r, err = nil, fmt.Errorf("experiments: job panic: %v", p)
-		}
-	}()
-	if err := j.Validate(); err != nil {
-		return nil, err
-	}
-	if len(j.Checkpoint) > 0 {
-		// Restored intervals never attach a sampler: telemetry is one of
-		// the subsystems the checkpoint format fails closed on.
-		return executeRestored(ctx, j)
-	}
-	sp, err := specForJob(j)
-	if err != nil {
-		return nil, err
-	}
-	var faults soundness.FaultSpec
-	if j.Faults != "" {
-		if faults, err = soundness.ParseFaultSpec(j.Faults); err != nil {
-			return nil, err
-		}
-	}
-	return executeCell(ctx, sp, j.Benchmark, execParams{
-		insts:     j.Insts,
-		soundness: j.Soundness,
-		faults:    faults,
-		watchdog:  j.WatchdogCycles,
-		sampler:   sampler,
-	})
-}
-
-// executeRestored runs a checkpoint job: construct the cell exactly like
-// executeCell's policy path (minus every option the checkpoint format
-// refuses), verify the payload against its content address, restore, and
-// run the interval. The construction order matters — it mirrors the
-// scheduler that produced the checkpoint, so restored state lands in an
-// identically shaped simulation.
-func executeRestored(ctx context.Context, j JobSpec) (*core.Result, error) {
-	sum := sha256.Sum256(j.Checkpoint)
-	if ref := hex.EncodeToString(sum[:]); ref != j.CheckpointRef {
-		return nil, fmt.Errorf("experiments: checkpoint payload hashes to %s, job says %s", ref, j.CheckpointRef)
-	}
-	prof, err := trace.ByName(j.Benchmark)
-	if err != nil {
-		return nil, err
-	}
-	f, err := PolicyFactoryByName(j.Policy)
-	if err != nil {
-		return nil, err
-	}
-	em := energy.NewModel(j.Machine.CoreSize())
-	pol, err := f(j.Machine, em)
-	if err != nil {
-		return nil, err
-	}
-	var opts []core.Option
 	if j.WatchdogCycles > 0 {
 		opts = append(opts, core.WithWatchdog(j.WatchdogCycles))
 	}
-	sim, err := core.New(j.Machine, prof, pol, em, opts...)
+	opts = append(opts, extra...)
+	// Each run draws its hot backing arrays (ROB, wheel, queues) from a
+	// pooled arena: reset, not freed, between runs, so back-to-back
+	// simulations — sweeps, the sharded service, sampled intervals — skip
+	// the per-run allocation. A Result never references arena memory, so
+	// releasing the arena before the caller reads the Result is safe.
+	arena := arenaPool.Get().(*core.Arena)
+	release = func() { arenaPool.Put(arena) }
+	sim, err = core.New(sp.machine, prof, pol, em, append(opts, core.WithArena(arena))...)
 	if err != nil {
-		return nil, err
+		release()
+		return nil, nil, err
 	}
-	if err := sim.RestoreCheckpoint(j.Checkpoint); err != nil {
-		return nil, err
-	}
-	return sim.RunContext(ctx, j.Insts)
+	return sim, release, nil
 }
+
+// arenaPool recycles per-run simulator storage across jobs. Each Get hands
+// an arena to exactly one Sim at a time, satisfying the exclusivity
+// contract of core.Arena under concurrent workers.
+var arenaPool = sync.Pool{New: func() any { return core.NewArena() }}

@@ -8,6 +8,8 @@ import (
 
 	"dmdc/internal/config"
 	"dmdc/internal/core"
+	"dmdc/internal/energy"
+	"dmdc/internal/trace"
 )
 
 // jobInsts keeps wire-job cells quick but non-trivial.
@@ -66,7 +68,7 @@ func TestExecuteJobMatchesSuiteCell(t *testing.T) {
 }
 
 // TestExecuteJobPolicyForm exercises the Policy (machine-carrying) job
-// form against the same policy run directly.
+// form against the same policy built directly on fresh allocations.
 func TestExecuteJobPolicyForm(t *testing.T) {
 	t.Parallel()
 	m := config.Config1()
@@ -75,13 +77,53 @@ func TestExecuteJobPolicyForm(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ExecuteJob: %v", err)
 	}
-	sp := runSpec{key: "policy:yla", machine: m, factory: YLAFactory}
-	want, err := executeCell(context.Background(), sp, "swim", execParams{insts: jobInsts})
+	prof, err := trace.ByName("swim")
 	if err != nil {
-		t.Fatalf("executeCell: %v", err)
+		t.Fatal(err)
+	}
+	em := energy.NewModel(m.CoreSize())
+	pol, err := YLAFactory(m, em)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := core.MustSim(core.New(m, prof, pol, em)).RunContext(context.Background(), jobInsts)
+	if err != nil {
+		t.Fatalf("direct run: %v", err)
 	}
 	if mustJSON(t, got) != mustJSON(t, want) {
 		t.Fatal("policy-form job diverged from direct execution")
+	}
+}
+
+// TestCacheKeyPins pins the content addresses of representative specs to
+// literal values. Job IDs, journals and peer caches are addressed by these
+// keys, so a change to their derivation orphans every stored result.
+func TestCacheKeyPins(t *testing.T) {
+	t.Parallel()
+	m := config.Config2()
+	policy := JobSpec{Machine: m, Policy: "dmdc", Benchmark: "gcc", Insts: 50_000}
+	watchdog := policy
+	watchdog.WatchdogCycles = 5000 // not part of the address
+	cases := []struct {
+		name string
+		spec JobSpec
+		want string
+	}{
+		{"policy", policy, "ba4181a55e08380c00ea1ef6bb141757f175ff027bd618737787c15ffc6b8588"},
+		{"run key", JobSpec{RunKey: "dmdc-global-config2", Benchmark: "gcc", Insts: 50_000},
+			"4cf2cb78b84638d23dc1d6d99ecd74792a043eb9f51286b35cd9cdc424766940"},
+		{"faulted", JobSpec{Machine: m, Policy: "baseline", Benchmark: "parser", Insts: 20_000,
+			Faults: "alias=8192,spurious=101"},
+			"c52b86bc7be8170420f0d03912cb56ba589ab7866088279190f93d5fad96666e"},
+		{"checkpoint ref", JobSpec{Machine: m, Policy: "dmdc", Benchmark: "gcc", Insts: 10_000,
+			CheckpointRef: "2d711642b726b04401627ca9fbac32f5c8530fb1903cc4db02258717921a4881"},
+			"4526270c849df2fdf853dfce054d8865b5aba93587735893eed1c1633a1031a3"},
+		{"watchdog", watchdog, "ba4181a55e08380c00ea1ef6bb141757f175ff027bd618737787c15ffc6b8588"},
+	}
+	for _, c := range cases {
+		if got := c.spec.CacheKey(); got != c.want {
+			t.Errorf("%s: CacheKey() = %s, want %s", c.name, got, c.want)
+		}
 	}
 }
 

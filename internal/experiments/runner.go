@@ -84,7 +84,7 @@ type Options struct {
 	// skipped. Nil means context.Background().
 	Context context.Context
 	// Backend, when non-nil, executes matrix cells instead of the
-	// in-process simulator — e.g. a dserve.Dispatcher sharding the matrix
+	// in-process executor — e.g. a dserve.Dispatcher sharding the matrix
 	// across dmdcd servers. Deterministic simulation makes backend results
 	// byte-identical to local ones, so artifacts are unaffected. The
 	// result cache still operates locally (hits skip the backend; backend
@@ -328,11 +328,12 @@ func progressLine(done, total int, j job, cached bool, err error, start time.Tim
 	return line
 }
 
-// runJob runs (or fetches from cache) one cell of the matrix. Every
-// failure mode — a policy configuration error, a bad machine config, a
-// soundness divergence, a watchdog trip, or a panic anywhere inside the
-// simulator — becomes a labeled *RunError rather than crashing the worker
-// pool, so one bad cell never discards its siblings' work.
+// runJob runs (or fetches from cache) one cell of the matrix on the
+// suite's backend. Every failure mode — a policy configuration error, a bad
+// machine config, a soundness divergence, a watchdog trip, or a panic
+// anywhere inside the simulator or the backend — becomes a labeled
+// *RunError rather than crashing the worker pool, so one bad cell never
+// discards its siblings' work.
 func (s *Suite) runJob(ctx context.Context, sp runSpec, bench string) (r *core.Result, cached bool, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -340,64 +341,26 @@ func (s *Suite) runJob(ctx context.Context, sp runSpec, bench string) (r *core.R
 			err = &RunError{Key: sp.key, Benchmark: bench, Err: fmt.Errorf("panic: %v", p)}
 		}
 	}()
+	spec := JobSpec{
+		Machine:        sp.machine,
+		RunKey:         sp.key,
+		Benchmark:      bench,
+		Insts:          s.opts.Insts,
+		Soundness:      s.opts.Soundness,
+		Faults:         s.opts.Faults.String(),
+		WatchdogCycles: s.opts.WatchdogCycles,
+	}
 	// Oracle and shadow runs bypass the cache entirely: a cached result
 	// would skip exactly the lockstep verification the caller asked for.
 	useCache := s.cache != nil && !s.opts.Soundness && !s.opts.WakeupShadow
 	var key string
 	if useCache {
-		key = resultcache.Key(resultcache.KeySpec{
-			Machine:   sp.machine,
-			RunKey:    sp.key,
-			Benchmark: bench,
-			Insts:     s.opts.Insts,
-			Faults:    s.opts.Faults.String(),
-		})
+		key = spec.CacheKey()
 		if hit, ok := s.cache.Get(key); ok {
 			return hit, true, nil
 		}
 	}
-	if s.opts.Backend != nil {
-		// Ship the cell as a (run key, benchmark) wire job; the backend
-		// reconstructs the spec through the same resolveSpec table, so the
-		// result is byte-identical to the in-process path below.
-		r, err = s.opts.Backend.Run(ctx, JobSpec{
-			Machine:        sp.machine,
-			RunKey:         sp.key,
-			Benchmark:      bench,
-			Insts:          s.opts.Insts,
-			Soundness:      s.opts.Soundness,
-			Faults:         s.opts.Faults.String(),
-			WatchdogCycles: s.opts.WatchdogCycles,
-		})
-	} else {
-		var sampler *telemetry.Sampler
-		if s.telemetry != nil {
-			// Each job records into its own sampler (no cross-job bleed) and
-			// is registered before the run starts so a live endpoint can
-			// watch it fill in.
-			sampler = telemetry.New(*s.opts.Telemetry)
-			s.telemetry.Register(jobKey(sp.key, bench), sampler)
-		}
-		r, err = executeCell(ctx, sp, bench, execParams{
-			insts:        s.opts.Insts,
-			soundness:    s.opts.Soundness,
-			wakeupShadow: s.opts.WakeupShadow,
-			faults:       s.opts.Faults,
-			watchdog:     s.opts.WatchdogCycles,
-			sampler:      sampler,
-		})
-		if err == nil {
-			if sampler != nil && s.opts.TelemetryDir != "" {
-				// The simulation itself succeeded; an export failure is
-				// still an error (the caller asked for the files), labeled
-				// like any other.
-				if werr := writeJobTelemetry(s.opts.TelemetryDir, jobKey(sp.key, bench), sampler.Snapshot()); werr != nil {
-					return nil, false, &RunError{Key: sp.key, Benchmark: bench, Err: werr}
-				}
-			}
-		}
-	}
-	if err != nil {
+	if r, err = s.backend.Run(ctx, spec); err != nil {
 		return nil, false, &RunError{Key: sp.key, Benchmark: bench, Err: err}
 	}
 	s.simulated.Add(1)
@@ -407,6 +370,42 @@ func (s *Suite) runJob(ctx context.Context, sp runSpec, bench string) (r *core.R
 		s.cache.Put(key, r)
 	}
 	return r, false, nil
+}
+
+// inProcess is the Suite's default Backend: it runs cells through
+// ExecuteJob in this process, passing the in-process-only concerns — the
+// wakeup shadow and a per-cell telemetry sampler — as extra options.
+type inProcess struct{ s *Suite }
+
+// Name identifies the backend.
+func (inProcess) Name() string { return "in-process" }
+
+// Run executes one cell in this process.
+func (b inProcess) Run(ctx context.Context, spec JobSpec) (*core.Result, error) {
+	o := b.s.opts
+	var extra []core.Option
+	if o.WakeupShadow {
+		extra = append(extra, core.WithWakeupShadow())
+	}
+	var sampler *telemetry.Sampler
+	key := jobKey(spec.RunKey, spec.Benchmark)
+	if b.s.telemetry != nil {
+		// Each job records into its own sampler (no cross-job bleed) and
+		// is registered before the run starts so a live endpoint can
+		// watch it fill in.
+		sampler = telemetry.New(*o.Telemetry)
+		b.s.telemetry.Register(key, sampler)
+		extra = append(extra, core.WithTelemetry(sampler))
+	}
+	r, err := ExecuteJob(ctx, spec, extra...)
+	if err == nil && sampler != nil && o.TelemetryDir != "" {
+		// The simulation itself succeeded; an export failure is still an
+		// error (the caller asked for the files).
+		if err = writeJobTelemetry(o.TelemetryDir, key, sampler.Snapshot()); err != nil {
+			r = nil
+		}
+	}
+	return r, err
 }
 
 // classOf returns each result's benchmark class.

@@ -1,52 +1,68 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"regexp"
 	"strings"
 	"sync"
 	"testing"
 
-	"dmdc/internal/config"
-	"dmdc/internal/energy"
-	"dmdc/internal/lsq"
+	"dmdc/internal/core"
 )
 
-// TestRunMatrixRecoversPanics: a crashing run must surface as a labeled
-// error, not a process crash, and must not discard sibling results.
+// faultyBackend runs cells in process through ExecuteJob, except that
+// cells of benchmark bad go through fail instead.
+type faultyBackend struct {
+	bad  string
+	fail func(ctx context.Context, spec JobSpec) (*core.Result, error)
+}
+
+func (faultyBackend) Name() string { return "faulty" }
+
+func (b faultyBackend) Run(ctx context.Context, spec JobSpec) (*core.Result, error) {
+	if spec.Benchmark == b.bad {
+		return b.fail(ctx, spec)
+	}
+	return ExecuteJob(ctx, spec)
+}
+
+// TestRunMatrixRecoversPanics: a crashing run — inside the simulation or
+// inside the backend itself — must surface as a labeled error, not a
+// process crash, and must not discard sibling results.
 func TestRunMatrixRecoversPanics(t *testing.T) {
-	s := mustSuite(Options{Insts: 2000, Benchmarks: []string{"gzip", "swim"}})
-	good := runSpec{key: "good", machine: config.Config2(), factory: BaselineFactory}
-	bad := runSpec{
-		key:     "bad",
-		machine: config.Config2(),
-		factory: func(m config.Machine, em *energy.Model) (lsq.Policy, error) {
-			panic("factory exploded")
+	fails := map[string]func(ctx context.Context, spec JobSpec) (*core.Result, error){
+		"simulation": func(ctx context.Context, spec JobSpec) (*core.Result, error) {
+			return ExecuteJob(ctx, spec, func(*core.Sim) { panic("cell exploded") })
 		},
+		"backend": func(context.Context, JobSpec) (*core.Result, error) { panic("cell exploded") },
 	}
-	out, err := s.runMatrix([]runSpec{good, bad})
-	if err == nil {
-		t.Fatal("panicking spec produced no error")
-	}
-	var re *RunError
-	if !errors.As(err, &re) {
-		t.Fatalf("error is not a *RunError: %v", err)
-	}
-	if re.Key != "bad" || (re.Benchmark != "gzip" && re.Benchmark != "swim") {
-		t.Errorf("error not labeled with spec key + benchmark: %+v", re)
-	}
-	if !strings.Contains(err.Error(), "factory exploded") {
-		t.Errorf("cause lost: %v", err)
-	}
-	for i, r := range out["good"] {
-		if r == nil {
-			t.Errorf("sibling result %d discarded", i)
-		}
-	}
-	for _, r := range out["bad"] {
-		if r != nil {
-			t.Error("failed run produced a result")
-		}
+	for name, fail := range fails {
+		t.Run(name, func(t *testing.T) {
+			s := mustSuite(Options{Insts: 2000, Benchmarks: []string{"gzip", "swim"},
+				Backend: faultyBackend{bad: "swim", fail: fail}})
+			key := keyBase("config2")
+			out, err := s.runMatrix([]runSpec{s.specFor(key)})
+			if err == nil {
+				t.Fatal("panicking cell produced no error")
+			}
+			var re *RunError
+			if !errors.As(err, &re) {
+				t.Fatalf("error is not a *RunError: %v", err)
+			}
+			if re.Key != key || re.Benchmark != "swim" {
+				t.Errorf("error not labeled with spec key + benchmark: %+v", re)
+			}
+			if !strings.Contains(err.Error(), "cell exploded") {
+				t.Errorf("cause lost: %v", err)
+			}
+			if out[key][0] == nil {
+				t.Error("sibling result discarded")
+			}
+			if out[key][1] != nil {
+				t.Error("failed run produced a result")
+			}
+		})
 	}
 }
 

@@ -8,8 +8,6 @@ import (
 	"sync"
 
 	"dmdc/internal/core"
-	"dmdc/internal/energy"
-	"dmdc/internal/trace"
 )
 
 // SampleSpec describes one sampled-mode logical run: a long run whose
@@ -114,66 +112,9 @@ func RunSampled(ctx context.Context, sp SampleSpec) (*SampledResult, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, err
 	}
-	prof, err := trace.ByName(sp.Job.Benchmark)
+	jobs, baselines, starts, err := sp.functionalPass()
 	if err != nil {
 		return nil, err
-	}
-	factory, err := PolicyFactoryByName(sp.Job.Policy)
-	if err != nil {
-		return nil, err
-	}
-	em := energy.NewModel(sp.Job.Machine.CoreSize())
-	pol, err := factory(sp.Job.Machine, em)
-	if err != nil {
-		return nil, err
-	}
-	sim, err := core.New(sp.Job.Machine, prof, pol, em)
-	if err != nil {
-		return nil, err
-	}
-
-	// Functional pass: walk the run once, dropping a checkpoint and a
-	// cumulative-counter snapshot at the start of each detailed interval.
-	period := sp.Job.Insts / uint64(sp.Intervals)
-	gap := period - sp.IntervalInsts
-	jobs := make([]JobSpec, sp.Intervals)
-	baselines := make([]*core.Result, sp.Intervals)
-	starts := make([]uint64, sp.Intervals)
-	var pos uint64
-	for i := 0; i < sp.Intervals; i++ {
-		warm := gap
-		if sp.Warmup > 0 && sp.Warmup < gap {
-			warm = sp.Warmup
-		}
-		if err := sim.FastForward(gap-warm, false); err != nil {
-			return nil, err
-		}
-		if err := sim.FastForward(warm, true); err != nil {
-			return nil, err
-		}
-		pos += gap
-		blob, err := sim.SaveCheckpoint()
-		if err != nil {
-			return nil, err
-		}
-		base, err := sim.Snapshot()
-		if err != nil {
-			return nil, err
-		}
-		sum := sha256.Sum256(blob)
-		job := sp.Job
-		job.Insts = sp.IntervalInsts
-		job.Checkpoint = blob
-		job.CheckpointRef = hex.EncodeToString(sum[:])
-		jobs[i] = job
-		baselines[i] = base
-		starts[i] = pos
-		// Step functionally over the interval itself; the detailed replay
-		// of these instructions happens in the interval job.
-		if err := sim.FastForward(sp.IntervalInsts, true); err != nil {
-			return nil, err
-		}
-		pos += sp.IntervalInsts
 	}
 
 	// Detailed intervals, sharded. Results land by index, so completion
@@ -237,4 +178,58 @@ func RunSampled(ctx context.Context, sp SampleSpec) (*SampledResult, error) {
 		out.ReplaysPerKInst = float64(replays) * 1000 / float64(out.MeasuredInsts)
 	}
 	return out, nil
+}
+
+// functionalPass walks the run once on the base job's simulation, dropping
+// a checkpoint and a cumulative-counter snapshot at the start of each
+// detailed interval; it returns one checkpoint job per interval with the
+// counters and committed-instruction position at its start.
+func (sp SampleSpec) functionalPass() (jobs []JobSpec, baselines []*core.Result, starts []uint64, err error) {
+	sim, release, err := newSim(sp.Job)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	defer release()
+	period := sp.Job.Insts / uint64(sp.Intervals)
+	gap := period - sp.IntervalInsts
+	jobs = make([]JobSpec, sp.Intervals)
+	baselines = make([]*core.Result, sp.Intervals)
+	starts = make([]uint64, sp.Intervals)
+	var pos uint64
+	for i := 0; i < sp.Intervals; i++ {
+		warm := gap
+		if sp.Warmup > 0 && sp.Warmup < gap {
+			warm = sp.Warmup
+		}
+		if err := sim.FastForward(gap-warm, false); err != nil {
+			return nil, nil, nil, err
+		}
+		if err := sim.FastForward(warm, true); err != nil {
+			return nil, nil, nil, err
+		}
+		pos += gap
+		blob, err := sim.SaveCheckpoint()
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		base, err := sim.Snapshot()
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		sum := sha256.Sum256(blob)
+		job := sp.Job
+		job.Insts = sp.IntervalInsts
+		job.Checkpoint = blob
+		job.CheckpointRef = hex.EncodeToString(sum[:])
+		jobs[i] = job
+		baselines[i] = base
+		starts[i] = pos
+		// Step functionally over the interval itself; the detailed replay
+		// of these instructions happens in the interval job.
+		if err := sim.FastForward(sp.IntervalInsts, true); err != nil {
+			return nil, nil, nil, err
+		}
+		pos += sp.IntervalInsts
+	}
+	return jobs, baselines, starts, nil
 }

@@ -1,29 +1,31 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"testing"
 
 	"dmdc/internal/config"
-	"dmdc/internal/energy"
+	"dmdc/internal/core"
 	"dmdc/internal/lsq"
 	"dmdc/internal/soundness"
 )
 
 // TestFactoryErrorQuarantined: a factory that reports a configuration
 // error (rather than panicking) must surface as a labeled *RunError while
-// sibling specs keep their results.
+// sibling cells keep their results. The failing cell runs the DMDC policy
+// on a machine whose checking table is not a power of two, which the
+// machine check admits and the policy constructor refuses.
 func TestFactoryErrorQuarantined(t *testing.T) {
-	s := mustSuite(Options{Insts: 2000, Benchmarks: []string{"gzip"}})
-	good := runSpec{key: "good", machine: config.Config2(), factory: BaselineFactory}
-	bad := runSpec{
-		key:     "bad",
-		machine: config.Config2(),
-		factory: func(m config.Machine, em *energy.Model) (lsq.Policy, error) {
-			return lsq.NewCAM(lsq.CAMConfig{LQSize: -1}, em)
-		},
+	badTable := func(ctx context.Context, spec JobSpec) (*core.Result, error) {
+		m := config.Config2()
+		m.CheckTable = 3
+		return ExecuteJob(ctx, JobSpec{Machine: m, Policy: "dmdc", Benchmark: spec.Benchmark, Insts: spec.Insts})
 	}
-	out, err := s.runMatrix([]runSpec{good, bad})
+	s := mustSuite(Options{Insts: 2000, Benchmarks: []string{"gzip", "swim"},
+		Backend: faultyBackend{bad: "swim", fail: badTable}})
+	key := keyGlobal("config2")
+	out, err := s.runMatrix([]runSpec{s.specFor(key)})
 	if err == nil {
 		t.Fatal("erroring factory produced no error")
 	}
@@ -31,17 +33,17 @@ func TestFactoryErrorQuarantined(t *testing.T) {
 	if !errors.As(err, &re) {
 		t.Fatalf("error is not a *RunError: %v", err)
 	}
-	if re.Key != "bad" || re.Benchmark != "gzip" {
+	if re.Key != key || re.Benchmark != "swim" {
 		t.Errorf("error not labeled with spec key + benchmark: %+v", re)
 	}
 	var ce *lsq.ConfigError
 	if !errors.As(err, &ce) {
 		t.Errorf("policy configuration cause lost: %v", err)
 	}
-	if out["good"][0] == nil {
+	if out[key][0] == nil {
 		t.Error("sibling result discarded")
 	}
-	if out["bad"][0] != nil {
+	if out[key][1] != nil {
 		t.Error("failed run produced a result")
 	}
 }

@@ -45,6 +45,7 @@ func keyQueue(n int) string       { return fmt.Sprintf("dmdc-queue%d", n) }
 type Suite struct {
 	opts      Options
 	cache     resultcache.Store   // nil when neither Cache nor CacheDir is set
+	backend   Backend             // Options.Backend, or the in-process executor
 	telemetry *telemetry.Registry // nil when Options.Telemetry is nil
 
 	simulated atomic.Uint64 // simulations actually executed (cache hits excluded)
@@ -72,6 +73,10 @@ func NewSuite(o Options) (*Suite, error) {
 		opts:     no,
 		results:  make(map[string][]*core.Result),
 		inflight: make(map[string]*inflightRun),
+		backend:  no.Backend,
+	}
+	if s.backend == nil {
+		s.backend = inProcess{s}
 	}
 	switch {
 	case no.Cache != nil:
