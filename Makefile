@@ -29,9 +29,10 @@
 #   make fuzz-short  90s split across the fuzz targets
 #   make perfbench-check  vet + tests of the nested perfbench module, which
 #                    compiles against the experiments/dserve surface
-#   make wakeup-shadow  benchmark matrix with both issue schedulers in
-#                    lockstep under -race: the scan drives, the event
-#                    scheduler shadows every pick, any divergence fails
+#   make wakeup-shadow  benchmark matrix under -race with the event issue
+#                    scheduler checked at every pick against the reference
+#                    scan kept in internal/core's tests: the scan drives,
+#                    the event scheduler shadows it, any divergence fails
 #   make bench       simulator-throughput benchmarks (BENCH_COUNT reps),
 #                    medians recorded into BENCH_core.json via cmd/benchjson
 #   make bench-smoke one-iteration run of the simulator benchmarks — a fast
@@ -68,11 +69,11 @@ soundness:
 	$(GO) test -run 'Soundness|Oracle|Watchdog|WrongPath|Fault|Invariant' ./internal/core/... ./internal/soundness/... ./internal/lsq/... ./internal/experiments/...
 
 # The scheduler cross-check: every benchmark on the primary and the
-# IQ-pressure machines, scan and event schedulers in lockstep (shadow
-# mode), plus the direct scan-vs-event fingerprint equivalence cells —
-# all under the race detector.
+# IQ-pressure machines with the test-only reference scan driving and the
+# event scheduler shadowing every pick, plus the direct scan-vs-event
+# fingerprint equivalence cells — all under the race detector.
 wakeup-shadow:
-	$(GO) test -race -run 'TestWakeupShadowMatrix|TestWakeupSchedulerEquivalence' -count 1 .
+	$(GO) test -race -run 'TestWakeupShadowMatrix|TestWakeupSchedulerEquivalence' -count 1 ./internal/core/
 
 # 90 seconds of fuzzing split across the targets (seed corpora always run
 # as part of tier-1; this explores beyond them).

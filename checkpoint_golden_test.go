@@ -33,7 +33,9 @@ var goldenFactoryNames = map[string]string{
 	"yla":         "yla",
 	"dmdc-global": "dmdc",
 	"dmdc-local":  "dmdc-local",
+	"agetable":    "agetable",
 	"valuebased":  "value-based",
+	"value-svw":   "value-svw",
 }
 
 // newCellSim builds a pristine simulator for one golden cell.

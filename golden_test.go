@@ -48,9 +48,11 @@ func goldenConfigs() []dmdc.Machine {
 
 // goldenPolicies is the policy axis: the conventional baseline, the YLA
 // filtering extension, both DMDC window-management variants, and the
-// related-work value-based re-execution scheme (its commit-time cache
-// re-accesses and SVW-free replay path are a distinct code path worth
-// pinning).
+// related-work schemes — the age-indexed hash table, value-based
+// re-execution (its commit-time cache re-accesses and SVW-free replay
+// path are a distinct code path worth pinning) and value-based
+// re-execution behind the store-vulnerability-window filter. Every policy
+// a run key can name is pinned here.
 var goldenPolicies = []struct {
 	name string
 	kind dmdc.PolicyKind
@@ -59,7 +61,9 @@ var goldenPolicies = []struct {
 	{"yla", dmdc.PolicyYLA},
 	{"dmdc-global", dmdc.PolicyDMDC},
 	{"dmdc-local", dmdc.PolicyDMDCLocal},
+	{"agetable", dmdc.PolicyAgeTable},
 	{"valuebased", dmdc.PolicyValueBased},
+	{"value-svw", dmdc.PolicyValueSVW},
 }
 
 // goldenBenchmarks spans the workload classes: two integer benchmarks with

@@ -64,8 +64,8 @@ func (s *Sim) checkpointable() error {
 		return refuse("fault injection")
 	case s.invariantEvery > 0:
 		return refuse("invariant sweeping")
-	case s.wakeMode == wakeupShadow:
-		return refuse("the wakeup shadow scheduler")
+	case s.issueRef != nil:
+		return refuse("a reference issue scheduler")
 	}
 	if _, ok := s.wl.(CheckpointableWorkload); !ok {
 		return fmt.Errorf("core: cannot checkpoint: workload %T is not checkpointable", s.wl)
@@ -75,6 +75,15 @@ func (s *Sim) checkpointable() error {
 	}
 	return nil
 }
+
+// fixedSchedField is the value of the two checkpoint fields that described
+// the retired scan scheduler: the header's scheduler selector byte and the
+// scan-list length that opens the "sched" section. The event scheduler
+// always wrote 0 to both, and existing checkpoints, the cache keys of
+// interval jobs and the sampled-run pins address checkpoint bytes by
+// content, so the fields stay in the format at that value and restore
+// refuses any other (the header byte as a Mismatch, the count as Corrupt).
+const fixedSchedField = 0
 
 // SaveCheckpoint serializes the simulation's complete state — pipeline,
 // predictor, caches, energy accumulators, workload generator, and policy —
@@ -95,7 +104,7 @@ func (s *Sim) SaveCheckpoint() ([]byte, error) {
 	e.String(s.wl.Meta().Name)
 	e.I64(s.wl.Meta().Seed)
 	e.String(s.pol.Name())
-	e.U8(uint8(s.wakeMode))
+	e.U8(fixedSchedField) // retired scheduler selector, see fixedSchedField
 	e.Bool(s.sqFilter)
 	e.U64(math.Float64bits(s.invRate))
 	e.U32(uint32(s.cfg.ROBSize))
@@ -183,11 +192,7 @@ func (s *Sim) SaveCheckpoint() ([]byte, error) {
 	}
 
 	e.Section("sched")
-	e.U32(uint32(len(s.waiting)))
-	for _, w := range s.waiting {
-		e.U64(w.age)
-		e.U64(w.wake)
-	}
+	e.U32(fixedSchedField) // retired scan-list length, see fixedSchedField
 	for _, w := range s.readyBM {
 		e.U64(w)
 	}
@@ -277,8 +282,8 @@ func (s *Sim) RestoreCheckpoint(data []byte) error {
 	if v := d.String(); d.Err() == nil && v != s.pol.Name() {
 		return checkpoint.Mismatchf("header", "policy %q, restore target is %q", v, s.pol.Name())
 	}
-	if v := d.U8(); d.Err() == nil && v != uint8(s.wakeMode) {
-		return checkpoint.Mismatchf("header", "wakeup mode %d, restore target uses %d", v, s.wakeMode)
+	if v := d.U8(); d.Err() == nil && v != fixedSchedField {
+		return checkpoint.Mismatchf("header", "issue scheduler %d, this build has only the event scheduler (0)", v)
 	}
 	if v := d.Bool(); d.Err() == nil && v != s.sqFilter {
 		return checkpoint.Mismatchf("header", "SQ filter %v, restore target has %v", v, s.sqFilter)
@@ -408,10 +413,8 @@ func (s *Sim) RestoreCheckpoint(data []byte) error {
 	}
 
 	d.Section("sched")
-	nw := d.Count(maxQueue)
-	s.waiting = s.waiting[:0]
-	for i := 0; i < nw; i++ {
-		s.waiting = append(s.waiting, schedEnt{age: d.U64(), wake: d.U64()})
+	if v := d.U32(); d.Err() == nil && v != fixedSchedField {
+		return checkpoint.Corruptf("sched", "scan-list length %d, always 0 in this format", v)
 	}
 	s.readyCnt = 0
 	for i := range s.readyBM {

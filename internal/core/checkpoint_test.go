@@ -253,6 +253,17 @@ func TestCheckpointPreconditions(t *testing.T) {
 		t.Fatal("restore into a used sim succeeded; want pristine-sim refusal")
 	}
 
+	// A sim driven by the test-only reference scheduler must refuse both
+	// directions: a restored run would silently switch schedulers.
+	ref := ckptSim(t, "gzip", "cam")
+	withWakeupShadow()(ref)
+	if err := ref.RestoreCheckpoint(blob); err == nil {
+		t.Fatal("restore into a reference-scheduler sim succeeded")
+	}
+	if _, err := ref.SaveCheckpoint(); err == nil {
+		t.Fatal("save of a reference-scheduler sim succeeded")
+	}
+
 	// A sim with in-flight pipeline state must refuse to fast-forward.
 	busy := ckptSim(t, "gzip", "cam")
 	for busy.count == 0 {

@@ -254,7 +254,7 @@ func TestScriptedSquashPointStress(t *testing.T) {
 				script = append(script, sc.script()...)
 				cfg := config.Config2()
 				em := energy.NewModel(cfg.CoreSize())
-				opts := append([]Option{WithWakeupShadow(), WithInvariantChecking(1)}, sc.opts...)
+				opts := append([]Option{withWakeupShadow(), WithInvariantChecking(1)}, sc.opts...)
 				s := MustSim(NewWithWorkload(cfg, newScripted(script), sc.pol(cfg, em), em, opts...))
 				if _, err := s.Run(1500); err != nil {
 					t.Fatalf("offset %d: %v", offset, err)

@@ -63,7 +63,7 @@ func decodeWakeupWorkload(data []byte) ([]isa.Inst, soundness.FaultSpec) {
 
 // FuzzWakeupScanEquivalence feeds random scripted workloads — dense alias
 // pools, late branches, long-latency chains, injected fault campaigns —
-// through wakeup shadow mode: the scan scheduler drives while the event
+// through wakeup shadow mode: the reference scan drives while the event
 // scheduler shadows every pick, and any divergence (or invariant breach,
 // or watchdog stall) fails the input. This is the randomized arm of the
 // scan-equivalence argument; the scripted squash-point table is the
@@ -85,7 +85,7 @@ func FuzzWakeupScanEquivalence(f *testing.F) {
 		cfg := config.Config2()
 		em := energy.NewModel(cfg.CoreSize())
 		pol := lsq.Must(lsq.NewCAM(lsq.CAMConfig{LQSize: cfg.LQSize}, em))
-		opts := []Option{WithWakeupShadow(), WithInvariantChecking(64)}
+		opts := []Option{withWakeupShadow(), WithInvariantChecking(64)}
 		if !faults.Zero() {
 			opts = append(opts, WithFaults(faults))
 		}

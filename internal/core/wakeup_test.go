@@ -172,7 +172,7 @@ func TestShadowCatchesPlantedDivergence(t *testing.T) {
 		{Op: isa.OpIAlu, Dest: 10, Src1: 9, Src2: 2},
 		nop(11), nop(12), nop(13),
 	}
-	s := wakeupSim(script, WithWakeupShadow())
+	s := wakeupSim(script, withWakeupShadow())
 	// Step until the window holds a ready waiting instruction, then hide
 	// the oldest one from the event scheduler.
 	planted := false
@@ -211,7 +211,7 @@ func TestShadowCatchesPlantedDivergence(t *testing.T) {
 // pure event mode with an every-cycle invariant sweep: the wakeup bitmap
 // and consumer lists must stay exact through squashes and replays.
 func TestEventWakeupInvariantSweep(t *testing.T) {
-	s := wakeupSim(violationScript(), WithEventWakeup(), WithInvariantChecking(1))
+	s := wakeupSim(violationScript(), WithInvariantChecking(1))
 	if _, err := s.Run(2000); err != nil {
 		t.Fatalf("event-mode run with invariant sweeps failed: %v", err)
 	}

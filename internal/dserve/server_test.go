@@ -2,10 +2,13 @@ package dserve
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -282,6 +285,44 @@ func TestServerRejectsInvalid(t *testing.T) {
 		t.Fatalf("unknown job lookup: %v %v", err, resp)
 	} else {
 		resp.Body.Close()
+	}
+}
+
+// TestServerRejectsCheckpointWatchdog: a checkpoint job that sets a
+// watchdog budget cannot run (the watchdog's event ring has no checkpoint
+// form), so the submit must refuse it as an invalid spec — a permanent
+// failure naming the watchdog, with nothing admitted — instead of
+// journaling it and failing only at restore.
+func TestServerRejectsCheckpointWatchdog(t *testing.T) {
+	t.Parallel()
+	srv := newTestServer(t, ServerConfig{Workers: 1})
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	spec := quickSpec("gzip")
+	spec.Checkpoint = []byte("checkpoint payload")
+	sum := sha256.Sum256(spec.Checkpoint)
+	spec.CheckpointRef = hex.EncodeToString(sum[:])
+	spec.WatchdogCycles = 5000
+	lr, _ := submit(t, ts.URL, spec)
+	if len(lr.Jobs) != 1 {
+		t.Fatalf("submit answered %d statuses, want 1", len(lr.Jobs))
+	}
+	if js := lr.Jobs[0]; js.Status != StatusFailed || js.Retryable || !strings.Contains(js.Error, "watchdog") {
+		t.Fatalf("checkpoint job with a watchdog: %+v, want a permanent failure naming the watchdog", js)
+	}
+	resp, err := http.Get(ts.URL + "/v1/jobs")
+	if err != nil {
+		t.Fatalf("list: %v", err)
+	}
+	defer resp.Body.Close()
+	var all ListResponse
+	if err := json.NewDecoder(resp.Body).Decode(&all); err != nil {
+		t.Fatalf("decode list: %v", err)
+	}
+	if len(all.Jobs) != 0 {
+		t.Fatalf("refused submit admitted %d jobs: %+v", len(all.Jobs), all.Jobs)
 	}
 }
 

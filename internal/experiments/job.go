@@ -128,6 +128,9 @@ func (j JobSpec) resolve() (runSpec, error) {
 		if j.Faults != "" {
 			return sp, fmt.Errorf("experiments: checkpoint jobs cannot inject faults")
 		}
+		if j.WatchdogCycles > 0 {
+			return sp, fmt.Errorf("experiments: checkpoint jobs cannot set a watchdog budget (its event ring has no checkpoint form)")
+		}
 	}
 	return sp, nil
 }
@@ -209,10 +212,10 @@ func PolicyFactoryByName(name string) (PolicyFactory, error) {
 // to local ones.
 //
 // extra options apply after every option the spec itself implies; they
-// carry the in-process-only concerns (telemetry samplers, the wakeup
-// shadow, pipeline traces) that have no wire form. A checkpoint job is
-// verified against its content address and restored before it runs. A
-// panic anywhere inside the simulator is returned as an error, never
+// carry the in-process-only concerns (telemetry samplers, pipeline
+// traces) that have no wire form. A checkpoint job is verified against
+// its content address and restored before it runs. A panic anywhere
+// inside the simulator is returned as an error, never
 // propagated — one bad job must not take down a serving process.
 func ExecuteJob(ctx context.Context, j JobSpec, extra ...core.Option) (r *core.Result, err error) {
 	defer func() {

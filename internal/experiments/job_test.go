@@ -135,6 +135,18 @@ func TestJobSpecValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid spec rejected: %v", err)
 	}
+	// A checkpoint job without the refused options validates (the payload
+	// is hash-checked only when the job runs).
+	ckpt := good
+	ckpt.Checkpoint, ckpt.CheckpointRef = []byte{1}, "ref"
+	if err := ckpt.Validate(); err != nil {
+		t.Fatalf("valid checkpoint spec rejected: %v", err)
+	}
+	withCkpt := func(mut func(*JobSpec)) JobSpec {
+		j := ckpt
+		mut(&j)
+		return j
+	}
 	cases := map[string]JobSpec{
 		"both key and policy":  {Machine: m, RunKey: "yla-config2", Policy: "dmdc", Benchmark: "gcc", Insts: 1000},
 		"neither key nor pol":  {Machine: m, Benchmark: "gcc", Insts: 1000},
@@ -145,6 +157,10 @@ func TestJobSpecValidate(t *testing.T) {
 		"unknown benchmark":    {Machine: m, Policy: "dmdc", Benchmark: "nope", Insts: 1000},
 		"no instruction count": {Machine: m, Policy: "dmdc", Benchmark: "gcc"},
 		"bad fault spec":       {Machine: m, Policy: "dmdc", Benchmark: "gcc", Insts: 1000, Faults: "zzz=1"},
+		"checkpoint w/o ref":   withCkpt(func(j *JobSpec) { j.CheckpointRef = "" }),
+		"checkpoint soundness": withCkpt(func(j *JobSpec) { j.Soundness = true }),
+		"checkpoint faults":    withCkpt(func(j *JobSpec) { j.Faults = "spurious=97" }),
+		"checkpoint watchdog":  withCkpt(func(j *JobSpec) { j.WatchdogCycles = 5000 }),
 	}
 	for name, spec := range cases {
 		if err := spec.Validate(); err == nil {

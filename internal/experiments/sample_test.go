@@ -35,6 +35,7 @@ func TestSampledValidation(t *testing.T) {
 		{"embedded checkpoint", func(sp *SampleSpec) { sp.Job.Checkpoint = []byte{1} }},
 		{"soundness", func(sp *SampleSpec) { sp.Job.Soundness = true }},
 		{"faults", func(sp *SampleSpec) { sp.Job.Faults = "replay:4@1000+2000" }},
+		{"watchdog budget", func(sp *SampleSpec) { sp.Job.WatchdogCycles = 5000 }},
 		{"zero intervals", func(sp *SampleSpec) { sp.Intervals = 0 }},
 		{"zero interval length", func(sp *SampleSpec) { sp.IntervalInsts = 0 }},
 		{"intervals do not fit", func(sp *SampleSpec) { sp.Intervals = 50; sp.IntervalInsts = 5_000 }},
